@@ -333,16 +333,7 @@ func (f *Fabric) buildPod(i int) (*podNode, error) {
 
 // ShardOfKey maps key bytes to a shard (FNV-1a mod Shards).
 func (f *Fabric) ShardOfKey(key []byte) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return int(h % uint64(f.cfg.Shards))
+	return int(kvstore.KeyHash(key) % uint64(f.cfg.Shards))
 }
 
 // Submit routes r by shard ownership: resolve key → shard, stamp the

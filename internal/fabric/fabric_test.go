@@ -331,6 +331,86 @@ func TestUnexpectedDarkCountsFalseTakeover(t *testing.T) {
 	checkAllReadable(t, f, data)
 }
 
+// TestSupersededMigratorCannotClobberNewOwner pins the handoff fence: a
+// holder whose claim was taken over (a slow migrator retaken, or a
+// failover racing the orphan sweep) wakes up after the new holder has
+// flipped the shard and acknowledged writes have landed on the new
+// owner. None of its remaining steps may touch that owner.
+func TestSupersededMigratorCannotClobberNewOwner(t *testing.T) {
+	f := newTestFabric(t, testConfig())
+	data := preload(t, f, 48)
+	s := f.ShardOfKey([]byte("key-0000"))
+	src, ep := f.Owner(s)
+	dst := (src + 1) % len(f.pods)
+	sl := &f.shard[s]
+
+	// Holder A claims and freezes the shard, then stalls.
+	stale := &migration{shard: s, src: src, dst: dst, epoch: ep, tok: sl.takeClaim()}
+	if !sl.word.CompareAndSwap(packWord(src, shardServing, ep), packWord(src, shardFrozen, ep)) {
+		t.Fatalf("freeze shard %d", s)
+	}
+	// Holder B takes over and completes the handoff.
+	b := &migration{shard: s, src: src, dst: dst, epoch: ep, tok: sl.takeClaim()}
+	f.register(b)
+	if err := f.drive(b); err != nil {
+		t.Fatalf("drive: %v", err)
+	}
+	if owner, _ := f.Owner(s); owner != dst {
+		t.Fatalf("shard %d owner %d after handoff, want %d", s, owner, dst)
+	}
+
+	// Acknowledged writes on the new owner: overwrites and a new key.
+	c := server.NewClient(f, 3)
+	fresh := []byte("fresh-key")
+	for i := 0; f.ShardOfKey(fresh) != s; i++ {
+		fresh = []byte(fmt.Sprintf("fresh-key-%d", i))
+	}
+	for k := range data {
+		if f.ShardOfKey([]byte(k)) == s {
+			data[k] = []byte("rewritten-" + k)
+			doPut(t, c, []byte(k), data[k])
+		}
+	}
+	data[string(fresh)] = []byte("fresh-val")
+	doPut(t, c, fresh, data[string(fresh)])
+
+	// A resumes: every destination step must be fenced off.
+	if ran, err := f.fencedRun(f.pods[dst], stale, func(int) {}); ran || err != nil {
+		t.Fatalf("stale holder's fencedRun ran=%v err=%v, want fenced off", ran, err)
+	}
+	if f.flip(stale) {
+		t.Fatal("stale holder's flip landed")
+	}
+	_ = f.unwind(stale, true, "stale holder gives up") // scrubs dst unless fenced
+	if owner, _ := f.Owner(s); owner != dst {
+		t.Fatalf("stale unwind moved shard %d to %d", s, owner)
+	}
+	checkAllReadable(t, f, data)
+	if v := f.Violations(); len(v) != 0 {
+		t.Fatalf("violations: %v", v)
+	}
+}
+
+// TestIdleFabricStaysLive pins the servers' idle fallback tick: workers
+// block for a wake token when their queues are empty, and only that tick
+// keeps an idle pod's clock advancing past the monitor's dark detection.
+func TestIdleFabricStaysLive(t *testing.T) {
+	cfg := testConfig()
+	f := newTestFabric(t, cfg)
+	data := preload(t, f, 16)
+
+	time.Sleep(5 * cfg.DarkGrace)
+
+	st := f.Stats()
+	if st.PodDarks != 0 || st.Failovers != 0 || st.FalseShardTakeovers != 0 {
+		t.Fatalf("idle live fabric went dark: %+v", st)
+	}
+	if n := f.FalseTakeovers(); n != 0 {
+		t.Fatalf("thread false takeovers on an idle fabric: %d", n)
+	}
+	checkAllReadable(t, f, data)
+}
+
 // TestFabricMigrationStress races live client traffic against repeated
 // shard migrations (some interrupted mid-protocol) across all pods.
 // Run under -race in CI.

@@ -105,7 +105,8 @@ func (f *Fabric) interrupt(m *migration, step string) bool {
 func (f *Fabric) unwind(m *migration, scrubDst bool, reason string) error {
 	sl := &f.shard[m.shard]
 	if scrubDst {
-		f.scrubShard(f.pods[m.dst], m.shard)
+		dst := f.pods[m.dst]
+		_, _ = f.fencedRun(dst, m, func(tid int) { f.deleteShard(dst, tid, m.shard) })
 	}
 	sl.word.CompareAndSwap(packWord(m.src, shardFrozen, m.epoch), packWord(m.src, shardServing, m.epoch))
 	sl.release(m.tok)
@@ -122,22 +123,65 @@ func (f *Fabric) stall(m *migration, err error) error {
 	return fmt.Errorf("fabric: shard %d handoff stalled (monitor will retake): %w", m.shard, err)
 }
 
-// scrubShard deletes every key of shard s from pod n's store (partial
-// copies from an unwound attempt must not survive to a later handoff —
-// a stale extra key would resurrect a deleted value at flip time).
-func (f *Fabric) scrubShard(n *podNode, s int) {
-	_ = n.agentRun(func(tid int) {
-		var doomed [][]byte
-		n.store.Range(tid, func(k, _ []byte) bool {
-			if f.ShardOfKey(k) == s {
-				doomed = append(doomed, append([]byte(nil), k...))
-			}
-			return true
-		})
-		for _, k := range doomed {
-			n.store.Delete(tid, k)
+// superseded abandons a handoff whose claim or frozen word moved on
+// under it: another holder owns the shard's fate now.
+func (f *Fabric) superseded(m *migration, step string) error {
+	f.shard[m.shard].release(m.tok)
+	f.forget(m)
+	f.migAborts.Add(1)
+	return fmt.Errorf("fabric: shard %d superseded before %s", m.shard, step)
+}
+
+// fencedRun runs fn on pod n's control thread only if m still holds
+// the claim and the shard is still frozen on m.src at m.epoch; it
+// reports whether fn ran. A superseded holder can still be mid-drive
+// (a retaken slow migrator, or a failover racing the orphan sweep), and
+// without this check its install, verify or scrub on the destination
+// could land after the current holder's flip, overwriting or deleting
+// acknowledged writes. The flip takes the destination's agent lock
+// (flip), so the check holds until fn returns.
+func (f *Fabric) fencedRun(n *podNode, m *migration, fn func(tid int)) (bool, error) {
+	sl := &f.shard[m.shard]
+	ran := false
+	err := n.agentRun(func(tid int) {
+		if !sl.holds(m.tok) || sl.word.Load() != packWord(m.src, shardFrozen, m.epoch) {
+			return
 		}
+		ran = true
+		fn(tid)
 	})
+	return ran, err
+}
+
+// flip is the fenced ownership handoff, under the destination's agent
+// lock so it cannot interleave with any holder's fencedRun there. The
+// claim check keeps a superseded holder from racing the retaker's
+// flip; the epoch CAS is the hard fence — of any racers, exactly one
+// lands.
+func (f *Fabric) flip(m *migration) bool {
+	sl := &f.shard[m.shard]
+	dst := f.pods[m.dst]
+	dst.agentMu.Lock()
+	defer dst.agentMu.Unlock()
+	return sl.holds(m.tok) &&
+		sl.word.CompareAndSwap(packWord(m.src, shardFrozen, m.epoch), packWord(m.dst, shardServing, m.epoch+1))
+}
+
+// deleteShard deletes every key of shard s from pod n's store, inside
+// n's agentRun: partial copies from an unwound attempt must not survive
+// to a later handoff (a stale extra key would resurrect a deleted value
+// at flip time), and a flipped-away source keeps no stale copy.
+func (f *Fabric) deleteShard(n *podNode, tid, s int) {
+	var doomed [][]byte
+	n.store.Range(tid, func(k, _ []byte) bool {
+		if f.ShardOfKey(k) == s {
+			doomed = append(doomed, append([]byte(nil), k...))
+		}
+		return true
+	})
+	for _, k := range doomed {
+		n.store.Delete(tid, k)
+	}
 }
 
 // drive runs the handoff protocol from whatever state m's claim found.
@@ -226,7 +270,7 @@ func (f *Fabric) drive(m *migration) error {
 		fresh[string(k)] = true
 	}
 	var putErr error
-	if err := dst.agentRun(func(tid int) {
+	if ran, err := f.fencedRun(dst, m, func(tid int) {
 		var stale [][]byte
 		dst.store.Range(tid, func(k, _ []byte) bool {
 			if f.ShardOfKey(k) == m.shard && !fresh[string(k)] {
@@ -245,6 +289,8 @@ func (f *Fabric) drive(m *migration) error {
 		}
 	}); err != nil {
 		return f.stall(m, err)
+	} else if !ran {
+		return f.superseded(m, StepCopy)
 	}
 	if putErr != nil {
 		return f.unwind(m, true, fmt.Sprintf("install failed: %v", putErr))
@@ -253,7 +299,7 @@ func (f *Fabric) drive(m *migration) error {
 	// Verify: re-read every entry from the destination and byte-compare
 	// against the captured copy (the frozen source cannot have moved).
 	mismatch := -1
-	if err := dst.agentRun(func(tid int) {
+	if ran, err := f.fencedRun(dst, m, func(tid int) {
 		var buf []byte
 		for i := range keys {
 			var ok bool
@@ -265,6 +311,8 @@ func (f *Fabric) drive(m *migration) error {
 		}
 	}); err != nil {
 		return f.stall(m, err)
+	} else if !ran {
+		return f.superseded(m, StepVerify)
 	}
 	if mismatch >= 0 {
 		f.violation(fmt.Sprintf("shard %d: verify mismatch on key %x during %d->%d handoff",
@@ -276,18 +324,8 @@ func (f *Fabric) drive(m *migration) error {
 		return nil
 	}
 
-	// Flip: the fenced ownership handoff. The claim check keeps a
-	// superseded holder from racing the retaker's flip; the epoch CAS
-	// is the hard fence — of any racers, exactly one lands.
-	if !sl.holds(m.tok) {
-		f.migAborts.Add(1)
-		return fmt.Errorf("fabric: shard %d claim superseded before flip", m.shard)
-	}
-	if !sl.word.CompareAndSwap(packWord(m.src, shardFrozen, m.epoch), packWord(m.dst, shardServing, m.epoch+1)) {
-		sl.release(m.tok)
-		f.forget(m)
-		f.migAborts.Add(1)
-		return fmt.Errorf("fabric: shard %d flip lost", m.shard)
+	if !f.flip(m) {
+		return f.superseded(m, StepFlip)
 	}
 	f.migFlips.Add(1)
 	f.emit(telemetry.EvShardFlip, uint64(m.shard), uint32(m.dst))
@@ -314,16 +352,5 @@ func (f *Fabric) drainAndRelease(m *migration) error {
 }
 
 func (f *Fabric) drainShard(n *podNode, s int) error {
-	return n.agentRun(func(tid int) {
-		var doomed [][]byte
-		n.store.Range(tid, func(k, _ []byte) bool {
-			if f.ShardOfKey(k) == s {
-				doomed = append(doomed, append([]byte(nil), k...))
-			}
-			return true
-		})
-		for _, k := range doomed {
-			n.store.Delete(tid, k)
-		}
-	})
+	return n.agentRun(func(tid int) { f.deleteShard(n, tid, s) })
 }

@@ -16,10 +16,11 @@ const (
 const monPoll = 2 * time.Millisecond
 
 // monitor is the fabric's liveness plane: it watches each pod's
-// logical clock (every Thread.Run ticks it, and idle workers tick
-// benignly, so a serving pod always advances), declares a pod dark
-// after DarkGrace of stall, retakes stalled shard claims, and re-places
-// shards orphaned on decommissioned pods.
+// logical clock (every Thread.Run ticks it, and a server worker with an
+// empty queue still ticks benignly on its fallback timer, about every
+// idle sleep, so a serving pod advances with or without traffic),
+// declares a pod dark after DarkGrace of stall, retakes stalled shard
+// claims, and re-places shards orphaned on decommissioned pods.
 func (f *Fabric) monitor() {
 	defer f.monWG.Done()
 	for !f.stopped.Load() {

@@ -84,8 +84,10 @@ func (s *Store) shard(h uint64) *sync.Mutex {
 	return &s.shards[(h&s.mask)%uint64(len(s.shards))]
 }
 
-// hash is FNV-1a; good enough dispersion for the benchmark keyspaces.
-func hash(key []byte) uint64 {
+// KeyHash is FNV-1a; good enough dispersion for the benchmark keyspaces.
+// The fabric's shard placement and the server's write routing derive
+// from it too.
+func KeyHash(key []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for _, b := range key {
 		h ^= uint64(b)
@@ -121,7 +123,7 @@ func (s *Store) PutTracked(tid int, key, val []byte, onAlloc func(alloc.Ptr)) er
 	copy(buf, key)
 	copy(buf[len(key):], val)
 
-	h := hash(key)
+	h := KeyHash(key)
 	n := &node{ptr: p, keyLen: int32(len(key)), valLen: int32(len(val)), hash: h}
 	b := &s.buckets[h&s.mask]
 
@@ -145,7 +147,7 @@ func (s *Store) PutTracked(tid int, key, val []byte, onAlloc func(alloc.Ptr)) er
 // Get copies key's value into dst (growing it as needed) and reports
 // whether the key was found.
 func (s *Store) Get(tid int, key []byte, dst []byte) ([]byte, bool) {
-	h := hash(key)
+	h := KeyHash(key)
 	s.rec.Enter(tid)
 	defer s.rec.Exit(tid)
 	for n := s.buckets[h&s.mask].Load(); n != nil; n = n.next.Load() {
@@ -207,7 +209,7 @@ func (s *Store) Range(tid int, fn func(key, val []byte) bool) {
 
 // Delete removes key, reporting whether it was present.
 func (s *Store) Delete(tid int, key []byte) bool {
-	h := hash(key)
+	h := KeyHash(key)
 	s.rec.Enter(tid)
 	defer s.rec.Exit(tid)
 	mu := s.shard(h)
@@ -291,7 +293,7 @@ func (s *Store) unlink(tid int, h uint64, victim *node) {
 // is the insert's linearization point, so a captured allocation that is
 // not linked afterwards never became visible to readers.
 func (s *Store) Linked(tid int, key []byte, p alloc.Ptr) bool {
-	h := hash(key)
+	h := KeyHash(key)
 	s.rec.Enter(tid)
 	defer s.rec.Exit(tid)
 	for n := s.buckets[h&s.mask].Load(); n != nil; n = n.next.Load() {
@@ -309,7 +311,7 @@ func (s *Store) Linked(tid int, key []byte, p alloc.Ptr) bool {
 // many duplicates it removed. Idempotent — a crash inside Sweep is
 // resolved by running it again.
 func (s *Store) Sweep(tid int, key []byte) int {
-	h := hash(key)
+	h := KeyHash(key)
 	s.rec.Enter(tid)
 	defer s.rec.Exit(tid)
 	mu := s.shard(h)

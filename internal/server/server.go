@@ -179,6 +179,7 @@ type group struct {
 	tids []int
 	q    *queue
 	brk  breaker
+	wake chan struct{} // idle workers' wake tokens, one slot per worker
 }
 
 // Server is the KV service front end. One worker goroutine serves per
@@ -189,19 +190,20 @@ type Server struct {
 	heap   *core.Heap
 	groups []*group
 
-	rr       atomic.Uint64 // router cursor
+	rr       atomic.Uint64 // read router cursor
 	pressure atomic.Uint64 // float64 bits of the latest sample
 	tickRate atomic.Uint64 // float64 bits; 0 = wall-clock deadlines only
+	idleTick time.Duration // idle workers' fallback tick (idleSleep)
 	stopped  atomic.Bool
 	wg       sync.WaitGroup
 
-	submitted, admitted, executed            atomic.Uint64
-	shedQueueFull, shedCoDel, shedDeadline   atomic.Uint64
-	shedWrite, shedPodFull, shedBreaker      atomic.Uint64
-	shedShard                                atomic.Uint64
-	breakerReroutes                          atomic.Uint64
-	workerCrashes, crashResolves             atomic.Uint64
-	pendingCrashed                           atomic.Int64
+	submitted, admitted, executed          atomic.Uint64
+	shedQueueFull, shedCoDel, shedDeadline atomic.Uint64
+	shedWrite, shedPodFull, shedBreaker    atomic.Uint64
+	shedShard                              atomic.Uint64
+	breakerReroutes                        atomic.Uint64
+	workerCrashes, crashResolves           atomic.Uint64
+	pendingCrashed                         atomic.Int64
 }
 
 const (
@@ -210,9 +212,13 @@ const (
 )
 
 // New builds the server and starts its workers and pressure sampler.
-func New(cfg Config) *Server {
+func New(cfg Config) *Server { return newServer(cfg, idleSleep) }
+
+// newServer is New with the idle workers' fallback tick as a parameter,
+// so tests can take the timer out of the wake protocol.
+func newServer(cfg Config, idleTick time.Duration) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{cfg: cfg, heap: cfg.Pod.Heap()}
+	s := &Server{cfg: cfg, heap: cfg.Pod.Heap(), idleTick: idleTick}
 	if cfg.PressureFn == nil {
 		heap := s.heap
 		cfg.PressureFn = func() float64 { return heap.MemPressure(0) }
@@ -225,6 +231,7 @@ func New(cfg Config) *Server {
 			id:   gi,
 			tids: append([]int(nil), tids...),
 			q:    newQueue(cfg.QueueCap, cfg.LIFOThreshold, cfg.CoDelTarget, cfg.CoDelInterval),
+			wake: make(chan struct{}, len(tids)),
 		}
 		s.groups = append(s.groups, g)
 	}
@@ -249,6 +256,11 @@ func New(cfg Config) *Server {
 // responses before stopping.
 func (s *Server) Stop() {
 	s.stopped.Store(true)
+	for _, g := range s.groups {
+		for range g.tids {
+			wake(g)
+		}
+	}
 	s.wg.Wait()
 	for _, g := range s.groups {
 		for _, r := range g.q.drain() {
@@ -361,24 +373,32 @@ func (s *Server) Submit(r *Request) {
 			return
 		}
 	}
-	g := s.route(nil)
+	g := s.route(r, nil)
 	if g == nil {
 		s.shedBreaker.Add(1)
 		s.respond(r, ErrBreakerOpen)
 		return
 	}
 	s.admitted.Add(1)
-	if ev := g.q.push(r); ev != nil {
-		s.shedQueueFull.Add(1)
-		s.respond(ev, ErrQueueFull)
-	}
+	s.enqueue(g, r)
 }
 
-// route picks the next group round-robin, skipping open breakers and
-// the excluded group. nil means every eligible group is broken.
-func (s *Server) route(except *group) *group {
+// route picks r's group, skipping open breakers and the excluded
+// group; nil means every eligible group is broken. A write starts at its
+// key's home group, so the Alloc of a value and the epoch-deferred Free
+// that later retires it run on the same thread and the free is local
+// (§3.2.1: a remote free only counts a slab down, stranding the block
+// until the whole slab is stolen). A read touches no allocator state, so
+// it starts round-robin for load balance. Either way a broken start
+// falls through to the next live group in ring order.
+func (s *Server) route(r *Request, except *group) *group {
 	n := len(s.groups)
-	start := int(s.rr.Add(1))
+	var start int
+	if r.Op == OpGet {
+		start = int(s.rr.Add(1) % uint64(n))
+	} else {
+		start = homeGroup(r.Key, n)
+	}
 	skippedBroken := false
 	for i := 0; i < n; i++ {
 		g := s.groups[(start+i)%n]
@@ -397,21 +417,47 @@ func (s *Server) route(except *group) *group {
 	return nil
 }
 
+// homeGroup maps key to one of n groups. The FNV-1a hash is mixed with
+// a Fibonacci multiplier and ranged by its high bits: the fabric places
+// shards by FNV-1a mod its shard count, so the raw hash mod n would send
+// every key of a shard to one group.
+func homeGroup(key []byte, n int) int {
+	h := kvstore.KeyHash(key) * 0x9E3779B97F4A7C15
+	return int((h >> 32) * uint64(n) >> 32)
+}
+
+// enqueue admits r to g's queue, answers whatever the bounded queue
+// evicted, and wakes one idle worker of g.
+func (s *Server) enqueue(g *group, r *Request) {
+	if ev := g.q.push(r); ev != nil {
+		s.shedQueueFull.Add(1)
+		s.respond(ev, ErrQueueFull)
+	}
+	wake(g)
+}
+
+// wake drops a token for one idle worker of g without blocking. No
+// wakeup is lost: the buffer holds one token per worker, so when it is
+// full every worker that blocks rechecks its queue at once.
+func wake(g *group) {
+	select {
+	case g.wake <- struct{}{}:
+	default:
+	}
+}
+
 // reroute drains a just-broken group's queue into live groups, so
 // admitted requests don't sit behind a ~400ms watchdog repair.
 func (s *Server) reroute(g *group) {
 	for _, r := range g.q.drain() {
-		t := s.route(g)
+		t := s.route(r, g)
 		if t == nil {
 			s.shedBreaker.Add(1)
 			s.respond(r, ErrBreakerOpen)
 			continue
 		}
 		s.breakerReroutes.Add(1)
-		if ev := t.q.push(r); ev != nil {
-			s.shedQueueFull.Add(1)
-			s.respond(ev, ErrQueueFull)
-		}
+		s.enqueue(t, r)
 	}
 }
 
@@ -482,6 +528,8 @@ func (s *Server) worker(g *group, tid int) {
 		markDown()
 	}
 
+	idle := time.NewTimer(s.idleTick)
+	defer idle.Stop()
 	var pend *pendOp
 	var held *Request
 	for {
@@ -549,7 +597,7 @@ func (s *Server) worker(g *group, tid int) {
 				}
 				continue
 			}
-			time.Sleep(idleSleep)
+			idleWait(g.wake, idle, s.idleTick)
 			continue
 		}
 		if req.expired(time.Now(), s.clockNow()) {
@@ -621,6 +669,26 @@ func (s *Server) worker(g *group, tid int) {
 		unpin()
 		s.executed.Add(1)
 		s.respond(req, req.resp.Err)
+	}
+}
+
+// idleWait blocks an idle worker until an enqueue wakes it or the
+// fallback tick d passes. The tick keeps an idle pod advancing its
+// logical clock and renewing heartbeats: the fabric monitor declares a
+// pod whose clock stalls past DarkGrace dark. Under go 1.22 timer
+// semantics a fired timer keeps its tick buffered, so idle is stopped
+// and drained before each Reset.
+func idleWait(wake <-chan struct{}, idle *time.Timer, d time.Duration) {
+	if !idle.Stop() {
+		select {
+		case <-idle.C:
+		default:
+		}
+	}
+	idle.Reset(d)
+	select {
+	case <-wake:
+	case <-idle.C:
 	}
 }
 
