@@ -246,11 +246,15 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fatal(err)
 		}
-		defer pprof.StopCPUProfile()
+		atFlush(func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fatal(err)
+			}
+		})
 	}
 
 	sc := bench.DefaultScale()
@@ -294,7 +298,6 @@ func main() {
 	// is switched to full fidelity, and the ring default is sized so a
 	// hotpath-scale run fits without drops (-strict-trace stays a real
 	// gate; tune with -trace-cap).
-	var tracer *telemetry.Tracer
 	if *traceOut != "" {
 		maxT := 4
 		for _, t := range sc.Threads {
@@ -303,13 +306,15 @@ func main() {
 			}
 		}
 		telemetry.SetHotSamplePeriod(1)
-		tracer = telemetry.Start(maxT, *traceCap)
+		tracer := telemetry.Start(maxT, *traceCap)
+		atFlush(func() { writeTrace(tracer, *traceOut, *strictTr) })
 	}
-	var metrics []telemetry.MetricsRecord
 	if *metricsOut != "" {
+		var metrics []telemetry.MetricsRecord
 		bench.MetricsSink = func(dims map[string]string, s telemetry.Snapshot) {
 			metrics = append(metrics, telemetry.MetricsRecord{Label: *label, Dims: dims, Values: s})
 		}
+		atFlush(func() { writeMetrics(metrics, *metricsOut) })
 	}
 
 	var all []bench.Row
@@ -337,8 +342,10 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
 		if err := bench.WriteNDJSON(f, all); err != nil {
+			fatal(err)
+		}
+		if err := f.Close(); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d rows to %s\n", len(all), *out)
@@ -349,40 +356,7 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "recorded %d rows as run %q in %s\n", len(all), *label, *jsonOut)
 	}
-	if tracer != nil {
-		telemetry.Stop()
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := telemetry.WriteChromeTrace(f, tracer); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote trace (%d events, %d dropped) to %s\n",
-			tracer.Recorded(), tracer.Dropped(), *traceOut)
-		if d := tracer.Dropped(); d > 0 {
-			fmt.Fprintf(os.Stderr, "WARNING: trace ring dropped %d events; the trace has gaps (grow the ring or shrink the run)\n", d)
-			if *strictTr {
-				fatal(fmt.Errorf("-strict-trace: trace ring dropped %d events", d))
-			}
-		}
-	}
-	if *metricsOut != "" {
-		f, err := os.OpenFile(*metricsOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fatal(err)
-		}
-		if err := telemetry.WriteMetricsNDJSON(f, metrics); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d metrics snapshots to %s\n", len(metrics), *metricsOut)
-	}
+	flush()
 	if *obsGate != "" {
 		if err := bench.CheckObsGate(*obsGate, *obsGateRef, all, *obsGatePct); err != nil {
 			fatal(err)
@@ -767,7 +741,65 @@ func max(a, b int) int {
 	return b
 }
 
+// flushers finish the run's outputs: stop the CPU profile, write the
+// -trace and -metrics files. flush runs them last-registered first,
+// after the experiments on the normal path and from fatal on a failing
+// one, so a run that fails a gate still leaves its data behind.
+var flushers []func()
+
+func atFlush(f func()) { flushers = append(flushers, f) }
+
+// flush runs and forgets each flusher; one that fails calls fatal,
+// which flushes the rest before exiting.
+func flush() {
+	for len(flushers) > 0 {
+		f := flushers[len(flushers)-1]
+		flushers = flushers[:len(flushers)-1]
+		f()
+	}
+}
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "cxlbench:", err)
+	flush()
 	os.Exit(1)
+}
+
+// writeTrace stops tracing and writes what the ring holds as Chrome
+// trace JSON.
+func writeTrace(tracer *telemetry.Tracer, path string, strict bool) {
+	telemetry.Stop()
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(err)
+	}
+	if err := telemetry.WriteChromeTrace(f, tracer); err != nil {
+		fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		fatal(err)
+	}
+	fmt.Fprintf(os.Stderr, "wrote trace (%d events, %d dropped) to %s\n",
+		tracer.Recorded(), tracer.Dropped(), path)
+	if d := tracer.Dropped(); d > 0 {
+		fmt.Fprintf(os.Stderr, "WARNING: trace ring dropped %d events; the trace has gaps (grow the ring or shrink the run)\n", d)
+		if strict {
+			fatal(fmt.Errorf("-strict-trace: trace ring dropped %d events", d))
+		}
+	}
+}
+
+// writeMetrics appends the collected snapshots as NDJSON.
+func writeMetrics(metrics []telemetry.MetricsRecord, path string) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		fatal(err)
+	}
+	if err := telemetry.WriteMetricsNDJSON(f, metrics); err != nil {
+		fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		fatal(err)
+	}
+	fmt.Fprintf(os.Stderr, "wrote %d metrics snapshots to %s\n", len(metrics), path)
 }

@@ -146,22 +146,37 @@ func (s *Store) PutTracked(tid int, key, val []byte, onAlloc func(alloc.Ptr)) er
 
 // Get copies key's value into dst (growing it as needed) and reports
 // whether the key was found.
+//
+// A replace links its node at the head and only then marks and unlinks
+// the old one, so a walk that started from the head before the link can
+// reach the old node after the mark, or not at all, and miss a key that
+// was present throughout. A miss therefore counts only if the head did
+// not move during the walk; otherwise the walk restarts. Every restart
+// follows a completed insert or unlink, so Get stays lock-free.
 func (s *Store) Get(tid int, key []byte, dst []byte) ([]byte, bool) {
 	h := KeyHash(key)
+	b := &s.buckets[h&s.mask]
 	s.rec.Enter(tid)
 	defer s.rec.Exit(tid)
-	for n := s.buckets[h&s.mask].Load(); n != nil; n = n.next.Load() {
-		if n.deleted.Load() || n.hash != h || int(n.keyLen) != len(key) {
-			continue
+	for head := b.Load(); ; {
+		for n := head; n != nil; n = n.next.Load() {
+			if n.deleted.Load() || n.hash != h || int(n.keyLen) != len(key) {
+				continue
+			}
+			buf := s.mem.Bytes(tid, n.ptr, int(n.keyLen)+int(n.valLen))
+			if !bytes.Equal(buf[:n.keyLen], key) {
+				continue
+			}
+			s.mem.AccessHook(tid, n.ptr)
+			dst = append(dst[:0], buf[n.keyLen:]...)
+			s.hits.Add(1)
+			return dst, true
 		}
-		buf := s.mem.Bytes(tid, n.ptr, int(n.keyLen)+int(n.valLen))
-		if !bytes.Equal(buf[:n.keyLen], key) {
-			continue
+		now := b.Load()
+		if now == head {
+			break
 		}
-		s.mem.AccessHook(tid, n.ptr)
-		dst = append(dst[:0], buf[n.keyLen:]...)
-		s.hits.Add(1)
-		return dst, true
+		head = now
 	}
 	s.misses.Add(1)
 	return dst, false

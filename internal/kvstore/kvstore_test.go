@@ -3,6 +3,7 @@ package kvstore
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cxlalloc/internal/alloc"
@@ -225,14 +226,13 @@ func TestPutTrackedLinkedUnderConcurrentDeletes(t *testing.T) {
 		// Linked(p) must agree with visible state: if the node is still
 		// live it is THIS allocation; if a racing delete won, the key is
 		// gone (a replace by someone else is impossible: single writer).
+		// Linked then absent is legal (deleted between the two probes);
+		// unlinked yet present means a live node that is not p.
 		linked := s.Linked(0, k, p)
 		v, ok := s.Get(0, k, val)
 		val = v
-		if linked != ok {
-			// One legal interleaving: deleted between the two probes.
-			if linked && !ok {
-				t.Fatalf("key %s: Linked true after value vanished", k)
-			}
+		if !linked && ok {
+			t.Fatalf("key %s: value present but Linked(%#x) false (single writer)", k, p)
 		}
 		if ok && string(v) != string(want) {
 			t.Fatalf("key %s = %q, want %q (single writer)", k, v, want)
@@ -287,4 +287,52 @@ func TestSweepRestoresSingleNodeUnderConcurrentDeletes(t *testing.T) {
 		}
 	}
 	s.Drain(threads)
+}
+
+// A key that is always present — one writer replacing it, never
+// deleting — must never read as absent. A replace links the new node at
+// the head and then marks the old one deleted; a reader that loaded the
+// head before the link reaches the old node only after the mark, and
+// must follow it to its replacement instead of missing the key.
+func TestGetNeverMissesKeyUnderReplace(t *testing.T) {
+	const readers = 3
+	s, _ := newStore(1, readers+1) // one bucket: every key shares a chain
+	keys := [][]byte{[]byte("hot-a"), []byte("hot-b")}
+	for _, k := range keys {
+		if err := s.Put(0, k, []byte("v-0")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	var misses atomic.Int64
+	var wg sync.WaitGroup
+	for r := 1; r <= readers; r++ {
+		wg.Add(1)
+		go func(tid int) {
+			defer wg.Done()
+			var buf []byte
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var ok bool
+				if buf, ok = s.Get(tid, keys[i%len(keys)], buf); !ok {
+					misses.Add(1)
+				}
+			}
+		}(r)
+	}
+	for i := 1; i <= 200000; i++ {
+		if err := s.Put(0, keys[i%len(keys)], []byte(fmt.Sprintf("v-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if n := misses.Load(); n != 0 {
+		t.Fatalf("%d reads missed a key that was present throughout", n)
+	}
+	s.Drain(readers + 1)
 }

@@ -14,7 +14,9 @@
 //     the operation and returns a success bit plus the previous value.
 //   - At the end of each sprd, the unit checks its register array for any
 //     other in-progress spwr/sprd pair with a matching target address and
-//     fails the competing operation (Figure 6(b)).
+//     fails the competing operation (Figure 6(b)). The simulator keeps the
+//     in-flight registers in a set, so the check walks only those and
+//     costs O(in-flight), not O(MaxThreads).
 //   - On success, subsequent operations are stalled until the swap value
 //     has been written to memory — for a given address only one
 //     spwr/sprd pair is ever in progress.
@@ -28,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"cxlalloc/internal/memsim"
 	"cxlalloc/internal/telemetry"
@@ -105,9 +108,18 @@ type Unit struct {
 	dev *memsim.Device
 	lat *memsim.Latency
 
-	mu     sync.Mutex
-	regs   [MaxThreads]pending
-	stats  Stats
+	mu   sync.Mutex
+	regs [MaxThreads]pending
+	// live[:nlive] are the tids whose register is in flight, in no
+	// order; pos[tid] is tid's index in live while it is.
+	live  [MaxThreads]uint16
+	pos   [MaxThreads]uint16
+	nlive int
+	stats Stats
+
+	// armed is false while faults is disarmed, so an mCAS on a healthy
+	// unit skips the fault decision without taking mu.
+	armed  atomic.Bool
 	faults FaultPlan
 	frng   *xrand.Rand
 }
@@ -135,6 +147,11 @@ func (u *Unit) SpWr(tid int, addr int, expect, swap uint64) {
 	}
 	u.inject(func(l *memsim.Latency) { l.Inject(l.MCASSpWr) })
 	u.mu.Lock()
+	if !u.regs[tid].inFlight {
+		u.live[u.nlive] = uint16(tid)
+		u.pos[tid] = uint16(u.nlive)
+		u.nlive++
+	}
 	u.regs[tid] = pending{addr: addr, expect: expect, swap: swap, inFlight: true}
 	u.stats.SpWrs++
 	u.mu.Unlock()
@@ -159,6 +176,7 @@ func (u *Unit) SpRd(tid int) (old uint64, ok bool) {
 	u.inject(func(l *memsim.Latency) { l.Inject(l.MCASService) })
 
 	p.inFlight = false
+	u.unlink(tid)
 	if p.failed {
 		// A competing spwr/sprd pair to the same address committed while
 		// this operation was in progress (Figure 6(b), T2-N).
@@ -169,24 +187,31 @@ func (u *Unit) SpRd(tid int) (old uint64, ok bool) {
 	old = u.dev.HWccLoad(p.addr)
 	if old != p.expect {
 		u.stats.Failures++
-		u.failCompeting(tid, p.addr)
+		u.failCompeting(p.addr)
 		return old, false
 	}
 	u.dev.HWccStore(p.addr, p.swap)
 	u.stats.Successes++
-	u.failCompeting(tid, p.addr)
+	u.failCompeting(p.addr)
 	return old, true
 }
 
+// unlink removes tid from the in-flight set.
+func (u *Unit) unlink(tid int) {
+	i := u.pos[tid]
+	u.nlive--
+	last := u.live[u.nlive]
+	u.live[i] = last
+	u.pos[last] = i
+}
+
 // failCompeting implements the end-of-sprd register-array scan: any
-// other in-flight operation targeting addr is marked failed.
-func (u *Unit) failCompeting(tid, addr int) {
-	for i := range u.regs {
-		if i == tid {
-			continue
-		}
-		if u.regs[i].inFlight && u.regs[i].addr == addr {
-			u.regs[i].failed = true
+// other in-flight operation targeting addr is marked failed. The
+// completing thread has already left the in-flight set.
+func (u *Unit) failCompeting(addr int) {
+	for _, i := range u.live[:u.nlive] {
+		if r := &u.regs[i]; r.addr == addr {
+			r.failed = true
 		}
 	}
 }
@@ -230,6 +255,7 @@ func (u *Unit) InjectFaults(plan FaultPlan) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	u.faults = plan
+	u.armed.Store(plan.Mode != FaultNone)
 	if plan.Prob > 0 {
 		u.frng = xrand.New(plan.Seed)
 	} else {
@@ -244,6 +270,9 @@ func (u *Unit) ClearFaults() { u.InjectFaults(FaultPlan{}) }
 // the plan's budget. A timeout fault still costs the spwr/sprd latency
 // (the requester waited for a response that never came).
 func (u *Unit) maybeFault() error {
+	if !u.armed.Load() {
+		return nil
+	}
 	u.mu.Lock()
 	p := &u.faults
 	mode := p.Mode
@@ -261,6 +290,7 @@ func (u *Unit) maybeFault() error {
 		p.Count--
 		if p.Count == 0 {
 			p.Mode = FaultNone
+			u.armed.Store(false)
 		}
 	default:
 		// Prob == 0, Count == 0: every attempt faults until cleared.

@@ -2,6 +2,7 @@ package nmp
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cxlalloc/internal/memsim"
@@ -305,4 +306,38 @@ func TestFaultProbabilisticCount(t *testing.T) {
 	if s := u.Stats(); s.FaultsInjected != 3 {
 		t.Fatalf("FaultsInjected = %d, want 3", s.FaultsInjected)
 	}
+}
+
+// The mCAS a healthy unit serves on every lease renewal and every
+// allocator CAS in mcas mode: no faults armed, no competing op.
+func BenchmarkMCASUncontended(b *testing.B) {
+	dev, u := newUnit()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, ok, err := u.TryMCAS(0, 0, uint64(i), uint64(i+1)); !ok || err != nil {
+			b.Fatalf("uncontended mCAS failed: ok=%v err=%v", ok, err)
+		}
+	}
+	if dev.HWccLoad(0) != uint64(b.N) {
+		b.Fatal("lost swaps")
+	}
+}
+
+// Threads spread over the register array, each on its own word: the
+// unit mutex is shared, the end-of-sprd scan finds nothing to fail.
+func BenchmarkMCASParallel(b *testing.B) {
+	_, u := newUnit()
+	var next atomic.Int32
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		n := int(next.Add(1)) - 1
+		tid, addr := (n*37)%MaxThreads, n%128
+		for pb.Next() {
+			cur := u.Load(tid, addr)
+			if _, _, err := u.TryMCAS(tid, addr, cur, cur+1); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -151,5 +152,110 @@ func TestWakeNoLostWakeup(t *testing.T) {
 		if t.Failed() {
 			return
 		}
+	}
+}
+
+// singleWorkerServer restarts the fixture's server with one worker per
+// group and the given fallback tick, so a group's idleTicks counts the
+// benign ticks of exactly one worker.
+func singleWorkerServer(t *testing.T, idleTick time.Duration) (*testFixture, *Server) {
+	f := newTestFixture(t)
+	f.srv.Stop()
+	cfg := f.srv.cfg
+	cfg.Groups = [][]int{{0}, {1}, {2}, {3}}
+	srv := newServer(cfg, idleTick)
+	t.Cleanup(srv.Stop)
+	return f, srv
+}
+
+// A worker woken over and over without ever winning a pop still runs a
+// benign tick at least once per two fallback intervals, so its lease
+// keeps renewing.
+func TestIdleTickRunsForWorkerThatNeverWinsPop(t *testing.T) {
+	const tick, window = 10 * time.Millisecond, 300 * time.Millisecond
+	f, srv := singleWorkerServer(t, tick)
+	g := srv.groups[0]
+	heap := f.run.pod.Heap()
+
+	stop := make(chan struct{})
+	spammed := make(chan struct{})
+	go func() {
+		defer close(spammed)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				wake(g)
+				runtime.Gosched()
+			}
+		}
+	}()
+	time.Sleep(2 * tick)
+	ticks0 := g.idleTicks.Load()
+	_, lease0 := heap.LeaseRead(0, 0)
+	time.Sleep(window)
+	ticks := g.idleTicks.Load() - ticks0
+	_, lease := heap.LeaseRead(0, 0)
+	close(stop)
+	<-spammed
+
+	if min := uint64(window/(2*tick)) - 1; ticks < min {
+		t.Fatalf("worker losing every pop ran %d benign ticks in %v, want >= %d", ticks, window, min)
+	}
+	if lease <= lease0 {
+		t.Fatalf("lease deadline %d -> %d: the idle worker's lease did not renew", lease0, lease)
+	}
+}
+
+// A worker that serves without pause runs no benign ticks: every tick
+// interval it sees already ran an op.
+func TestIdleTickSkippedWhileServing(t *testing.T) {
+	const tick, window = 10 * time.Millisecond, 300 * time.Millisecond
+	_, srv := singleWorkerServer(t, tick)
+	g := srv.groups[0]
+
+	// Writes go to their key's home group: keep group 0's worker busy.
+	var keys []string
+	for i := 0; len(keys) < 16; i++ {
+		if k := fmt.Sprintf("busy-%d", i); homeGroup([]byte(k), len(srv.groups)) == 0 {
+			keys = append(keys, k)
+		}
+	}
+	const submitters = 4
+	stop := make(chan struct{})
+	var started, wg sync.WaitGroup
+	started.Add(submitters)
+	for c := 0; c < submitters; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				r := putReq(keys[(c*4+i)%len(keys)], "v")
+				srv.Submit(r)
+				if resp := r.Wait(); resp.Err != nil {
+					t.Errorf("submitter %d: %v", c, resp.Err)
+					return
+				}
+				if i == 0 {
+					started.Done()
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}(c)
+	}
+	started.Wait()
+	ticks0 := g.idleTicks.Load()
+	time.Sleep(window)
+	ticks := g.idleTicks.Load() - ticks0
+	close(stop)
+	wg.Wait()
+
+	if ticks != 0 {
+		t.Fatalf("continuously serving worker ran %d benign ticks in %v, want 0", ticks, window)
 	}
 }

@@ -180,6 +180,8 @@ type group struct {
 	q    *queue
 	brk  breaker
 	wake chan struct{} // idle workers' wake tokens, one slot per worker
+
+	idleTicks atomic.Uint64 // benign fallback ticks run by g's workers
 }
 
 // Server is the KV service front end. One worker goroutine serves per
@@ -528,8 +530,14 @@ func (s *Server) worker(g *group, tid int) {
 		markDown()
 	}
 
-	idle := time.NewTimer(s.idleTick)
-	defer idle.Stop()
+	// Idle fallback tick: a worker that ran nothing for a whole tick
+	// interval runs one benign th.Run, which advances the pod clock,
+	// renews its lease and polls the watchdog (an idle pod whose clock
+	// stalls past the fabric's DarkGrace is declared dark). ran records
+	// whether any th.Run happened since the last tick was taken.
+	tick := time.NewTicker(s.idleTick)
+	defer tick.Stop()
+	ran := false
 	var pend *pendOp
 	var held *Request
 	for {
@@ -558,6 +566,7 @@ func (s *Server) worker(g *group, tid int) {
 		}
 		if pend != nil {
 			p := pend
+			ran = true
 			c := th.Run(func() { p.applied = s.resolveCrashed(tid, p) })
 			if c != nil {
 				if c.TID == tid {
@@ -575,34 +584,45 @@ func (s *Server) worker(g *group, tid int) {
 			continue
 		}
 
+		// One reading of both clocks per dequeue: pop checks expiry at
+		// this instant, so only a held (retried) request needs a check.
+		now, nowTick := time.Now(), s.clockNow()
 		req := held
 		held = nil
-		if req == nil {
-			now := time.Now()
+		if req != nil {
+			if req.expired(now, nowTick) {
+				s.shedDeadline.Add(1)
+				s.respond(req, ErrDeadlineExceeded)
+				continue
+			}
+		} else {
 			var sheds []shedReq
-			req, sheds = g.q.pop(now, s.clockNow())
+			req, sheds = g.q.pop(now, nowTick)
 			for _, sd := range sheds {
 				s.countShed(sd.err)
 				s.respond(sd.req, sd.err)
 			}
 		}
 		if req == nil {
-			// Idle: a benign tick keeps our heartbeat renewed and the
-			// watchdog polling (repairs are driven by live workers).
-			c := th.Run(func() {})
-			if c != nil {
-				if c.TID == tid {
-					markDown()
-					th = nil
-				}
+			// Idle: a wake token sends us straight back to pop; a tick
+			// runs the benign th.Run only if the interval it closes ran
+			// nothing, so a worker that keeps losing wake races still
+			// ticks at least once per two intervals.
+			select {
+			case <-g.wake:
+				continue
+			case <-tick.C:
+			}
+			if ran {
+				ran = false
 				continue
 			}
-			idleWait(g.wake, idle, s.idleTick)
-			continue
-		}
-		if req.expired(time.Now(), s.clockNow()) {
-			s.shedDeadline.Add(1)
-			s.respond(req, ErrDeadlineExceeded)
+			g.idleTicks.Add(1)
+			c := th.Run(func() {})
+			if c != nil && c.TID == tid {
+				markDown()
+				th = nil
+			}
 			continue
 		}
 
@@ -631,6 +651,7 @@ func (s *Server) worker(g *group, tid int) {
 			pc = &pendOp{req: req}
 		}
 		executed := false
+		ran = true
 		c := th.Run(func() {
 			executed = true
 			s.execute(tid, req, pc)
@@ -669,26 +690,6 @@ func (s *Server) worker(g *group, tid int) {
 		unpin()
 		s.executed.Add(1)
 		s.respond(req, req.resp.Err)
-	}
-}
-
-// idleWait blocks an idle worker until an enqueue wakes it or the
-// fallback tick d passes. The tick keeps an idle pod advancing its
-// logical clock and renewing heartbeats: the fabric monitor declares a
-// pod whose clock stalls past DarkGrace dark. Under go 1.22 timer
-// semantics a fired timer keeps its tick buffered, so idle is stopped
-// and drained before each Reset.
-func idleWait(wake <-chan struct{}, idle *time.Timer, d time.Duration) {
-	if !idle.Stop() {
-		select {
-		case <-idle.C:
-		default:
-		}
-	}
-	idle.Reset(d)
-	select {
-	case <-wake:
-	case <-idle.C:
 	}
 }
 
